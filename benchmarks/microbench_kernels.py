@@ -1,8 +1,9 @@
 """Decode-kernel micro-benchmark: fused vs reference on one report batch.
 
 A fast (seconds, not minutes) visibility check for CI and local tuning:
-times the fused OLH support-count kernel and the Hadamard candidate
-kernel against their ``_reference_*`` twins on a fixed-seed batch, the
+times the fused OLH support-count kernel (at g = 8 and g = 5, one row
+per ``mod g`` branch) and the Hadamard candidate kernel against their
+``_reference_*`` twins on a fixed-seed batch, the
 bit-sliced Hadamard kernel against the previous matmul kernel tier,
 cached-plan streaming absorption against per-pane rebuild, and the
 vectorized session sweep against the per-report reference walk; prints
@@ -40,6 +41,20 @@ def _time(fn):
     return result, time.perf_counter() - t0
 
 
+def _olh_row(olh, values, cands, rng) -> bool:
+    """Time fused vs reference OLH support counts; True if bit-identical."""
+    reports = olh.privatize(values, rng=rng)
+    ref, ref_s = _time(lambda: olh._reference_support_counts_for(reports, cands))
+    fused, fused_s = _time(lambda: olh.support_counts_for(reports, cands))
+    identical = np.array_equal(ref, fused)
+    print(
+        f"olh   n={values.size} d={olh.domain_size} g={olh.g}: "
+        f"ref {ref_s:.3f}s fused {fused_s:.3f}s "
+        f"speedup {ref_s / fused_s:.2f}x bit_identical={identical}"
+    )
+    return identical
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--users", type=int, default=200_000)
@@ -51,18 +66,13 @@ def main(argv=None) -> int:
     cands = np.arange(args.domain, dtype=np.int64)
     ok = True
 
-    olh = OptimalLocalHashing(args.domain, args.epsilon)
     values = rng.integers(0, args.domain, size=args.users)
-    reports = olh.privatize(values, rng=rng)
-    ref, ref_s = _time(lambda: olh._reference_support_counts_for(reports, cands))
-    fused, fused_s = _time(lambda: olh.support_counts_for(reports, cands))
-    identical = np.array_equal(ref, fused)
-    ok &= identical
-    print(
-        f"olh   n={args.users} d={args.domain} g={olh.g}: "
-        f"ref {ref_s:.3f}s fused {fused_s:.3f}s "
-        f"speedup {ref_s / fused_s:.2f}x bit_identical={identical}"
-    )
+    # One OLH row per mod-g branch of the fused kernel: a mask when g is
+    # a power of two (eps=2 -> g=8), the multiply-shift magic otherwise
+    # (eps=1.5 -> g=5).
+    for eps in (args.epsilon, 1.5):
+        ok &= _olh_row(OptimalLocalHashing(args.domain, eps), values, cands, rng)
+    olh = OptimalLocalHashing(args.domain, args.epsilon)
 
     hr = HadamardResponse(args.domain, args.epsilon)
     hr_reports = hr.privatize(values, rng=rng)

@@ -307,7 +307,7 @@ class ShardFolder:
         # refused batch (mixed shapes) leaves every offered id unfolded
         # and retryable, so nothing may have been counted for it.
         self.duplicates += dup_count
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         routed: list[
             tuple[str, Any, list[tuple[int | None, np.ndarray | None]]]
         ] = []
@@ -339,7 +339,7 @@ class ShardFolder:
                     if seg.size
                 ]
             routed.append((envelope_id, reports, segments))
-        t1 = time.perf_counter()
+        t1 = time.thread_time()
         n = 0
         sections: list[tuple[str, tuple[tuple[int | None, bytes], ...]]] = []
         for envelope_id, reports, segments in routed:
@@ -354,7 +354,7 @@ class ShardFolder:
                 panes.append((pane, acc.to_bytes()))
             sections.append((envelope_id, tuple(panes)))
             n += batch_length(reports)
-        t2 = time.perf_counter()
+        t2 = time.thread_time()
         self.route_seconds += t1 - t0
         self.absorb_seconds += t2 - t1
         # Mark seen only after the fold succeeded: a refused batch
@@ -415,7 +415,12 @@ class WorkerServiceStats:
     ``envelopes`` when micro-batching is off); ``route_seconds`` /
     ``absorb_seconds`` break the worker's fold CPU into classification
     (frontier + pane argsort/split) and accumulator folding — the
-    worker-side half of the stage story E20 reports.
+    worker-side half of the stage story E20 reports.  Both are timed on
+    the folding thread's CPU clock (``time.thread_time``), so they do
+    not inflate when ingest processes compete for cores.  Decode tiles
+    fanned out to the kernel pool (``REPRO_KERNEL_THREADS`` > 1) run on
+    pool threads: their CPU is counted in the kernel timing
+    (``repro.util.kernels.kernel_timing_scope``), not here.
     """
 
     worker_id: int

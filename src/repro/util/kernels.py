@@ -25,15 +25,21 @@ This module replaces both:
   for 31-bit dividends via the Granlund–Montgomery multiply-shift magic
   number (the same trick compilers emit for constant divisors).
 * :class:`FusedSupportKernel` — the fused hash→compare→accumulate
-  support-count kernel.  It tiles (reports × candidates) into
-  cache-sized blocks over *preallocated* scratch, evaluates the affine
-  hash in place, compares against each report's value and adds matches
-  straight into an int64 counts vector — the ``(n, d)`` matrix is never
-  materialized.  Report tiles optionally fan out across a shared thread
-  pool (the inner loops are pure NumPy and release the GIL), with each
-  task accumulating into its own partial counts vector; integer
-  addition is associative, so the result is bit-identical regardless of
-  thread count or schedule.
+  support-count kernel.  It tiles (reports × candidates) into blocks of
+  at most 2¹⁶ cells over *preallocated* scratch — ~1.2 MB of planes,
+  resident in one core's L2, which the dozen passes of the tile loop
+  then hit instead of the last-level cache — evaluates the affine hash
+  in place, compares against each report's value and tallies matches
+  into a uint8 plane that is reduced into int64 counts every 255 tiles
+  — the ``(n, d)`` matrix is never materialized.  When ``g`` is a power
+  of two (OLH at ε = 2 has ``g = 8``; BLH has ``g = 2``) ``mod g`` is
+  one mask, and the Mersenne reduction's per-cell conditional subtract
+  becomes a per-tile check (see :meth:`FusedSupportKernel._count_span`).
+  Report tiles optionally fan out across a shared thread pool (the
+  inner loops are pure NumPy and release the GIL), with each task
+  accumulating into its own partial counts vector; integer addition is
+  associative, so the result is bit-identical regardless of thread
+  count or schedule.
 * :func:`hadamard_support_counts` — bit-sliced Hadamard candidate
   decoding: report index bit-planes and ±1 signs are packed into machine
   words (:func:`repro.util.wht.pack_bit_planes`), the popcount parity
@@ -154,21 +160,18 @@ def mersenne_reduce(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = x.copy()
     elif out is not x:
         np.copyto(out, x)
-    lo = np.bitwise_and(out, MERSENNE_P)
-    np.right_shift(out, _U31, out=out)
-    np.add(out, lo, out=out)
-    np.bitwise_and(out, MERSENNE_P, out=lo)
-    np.right_shift(out, _U31, out=out)
-    np.add(out, lo, out=out)
+    _mersenne_fold_into(out, np.empty_like(out))
     np.subtract(out, MERSENNE_P, out=out, where=out >= MERSENNE_P)
     return out
 
 
-def _mersenne_reduce_into(x: np.ndarray, lo: np.ndarray, mask: np.ndarray) -> None:
-    """In-place Mersenne reduction of ``x`` using caller-owned scratch.
+def _mersenne_fold_into(x: np.ndarray, lo: np.ndarray) -> None:
+    """The two shift-add folds of :func:`mersenne_reduce`, in place.
 
-    ``lo`` (uint64) and ``mask`` (bool) must match ``x``'s shape; nothing
-    is allocated.  This is the tile-loop body of the fused kernels.
+    Leaves ``x`` congruent to its input modulo p and below ``2p`` (at
+    most ``p + 7``), so one conditional subtract
+    (:func:`_mersenne_fixup_into`) finishes the reduction.  ``lo``
+    (uint64) is caller-owned scratch the shape of ``x``.
     """
     np.bitwise_and(x, MERSENNE_P, out=lo)
     np.right_shift(x, _U31, out=x)
@@ -176,6 +179,10 @@ def _mersenne_reduce_into(x: np.ndarray, lo: np.ndarray, mask: np.ndarray) -> No
     np.bitwise_and(x, MERSENNE_P, out=lo)
     np.right_shift(x, _U31, out=x)
     np.add(x, lo, out=x)
+
+
+def _mersenne_fixup_into(x: np.ndarray, mask: np.ndarray) -> None:
+    """Subtract p from the folded cells at or above p (``mask``: bool scratch)."""
     np.greater_equal(x, MERSENNE_P, out=mask)
     np.subtract(x, MERSENNE_P, out=x, where=mask)
 
@@ -574,24 +581,20 @@ def _submit_to_shared_pool(threads: int, calls) -> list:
 #: immutable (and therefore cacheable/copy-safe), repeated small absorbs
 #: stop re-allocating tile buffers, and no two tasks can share a buffer
 #: because a task runs on exactly one thread.  Buffers grow to the
-#: largest tile a thread has seen and are bounded by the tile geometry
-#: (≤ ``_TILE_CELLS`` cells each, ~9 MB per thread worst case).
+#: largest tile a thread has seen and are bounded by the tile geometry:
+#: the fused kernel's tiles are ≤ ``_FUSED_TILE_CELLS`` cells (~1.2 MB
+#: for its four planes); a thread that also runs the bit-sliced Hadamard
+#: decode grows the two uint64 planes it shares to ≤ ``_TILE_CELLS``
+#: cells (~8.5 MB per thread worst case).
 _scratch_local = threading.local()
 
 
-def _scratch_uint64(name: str, cells: int) -> np.ndarray:
+def _scratch(name: str, cells: int, dtype=np.uint64) -> np.ndarray:
+    """This thread's ``name`` buffer, grown to at least ``cells`` items."""
     buf = getattr(_scratch_local, name, None)
     if buf is None or buf.shape[0] < cells:
-        buf = np.empty(cells, dtype=np.uint64)
+        buf = np.empty(cells, dtype=dtype)
         setattr(_scratch_local, name, buf)
-    return buf[:cells]
-
-
-def _scratch_bool(cells: int) -> np.ndarray:
-    buf = getattr(_scratch_local, "match", None)
-    if buf is None or buf.shape[0] < cells:
-        buf = np.empty(cells, dtype=bool)
-        setattr(_scratch_local, "match", buf)
     return buf[:cells]
 
 
@@ -599,12 +602,17 @@ def _scratch_bool(cells: int) -> np.ndarray:
 # the fused support-count kernel (OLH / BLH)
 # ---------------------------------------------------------------------------
 
-#: Default tile geometry: candidates × reports blocks of at most
-#: ``_TILE_CELLS`` cells keep the three scratch planes (uint64 hash,
-#: uint64 quotient, bool match) inside the last-level cache instead of
-#: streaming multi-MB temporaries through main memory.
+#: Tile geometry of the Hadamard kernel tiers: blocks of at most
+#: ``_TILE_CELLS`` cells keep their uint64 scratch planes inside the
+#: last-level cache instead of streaming temporaries through main memory.
 _TILE_CELLS = 1 << 19
 _MAX_TILE_REPORTS = 1 << 14
+#: Tile geometry of :class:`FusedSupportKernel`: the four scratch planes
+#: of a ``_FUSED_TILE_CELLS``-cell tile (~1.2 MB) fit one core's 2 MB L2.
+_FUSED_TILE_CELLS = 1 << 16
+#: Tiles whose matches the fused kernel's uint8 tally absorbs before it
+#: is reduced into the int64 counts (each tile adds at most 1 per cell).
+_TALLY_TILES = 255
 #: Below this many (report × candidate) cells a kernel call runs inline
 #: even when a pool is available — dispatch would cost more than it buys.
 _MIN_PARALLEL_CELLS = 1 << 21
@@ -620,6 +628,17 @@ class FusedSupportKernel:
     kernel counts ``h_s(v) == y`` matches — exactly the quantity
     ``_LocalHashing.support_counts_for`` used to extract from the
     materialized ``hash_cross`` matrix, bit for bit.
+
+    Tiles hold at most ``_FUSED_TILE_CELLS`` (2¹⁶) cells — at most 256
+    candidates by up to 16,384 reports — so the hash, fold, match and
+    tally planes (~1.2 MB) stay resident in one core's 2 MB L2: the tile
+    loop makes a dozen passes over them, and every pass after the first
+    is an L2 hit instead of a trip to the last-level cache.
+
+    The range ``g`` picks the ``mod g`` path once, from the oracle's
+    configuration: a power of two (``g & (g − 1) == 0``) reduces with a
+    single ``bitwise_and(g − 1)``; any other ``g`` uses the exact
+    multiply-shift magic (:func:`mod_magic`).
 
     Instances are immutable decode *plans*: the candidate array is
     marked read-only and no per-batch state is ever stored on the
@@ -660,11 +679,12 @@ class FusedSupportKernel:
         self._x = x
         self._g = np.uint64(g)
         self._magic, self._shift = mod_magic(g)
+        self._pow2 = g & (g - 1) == 0
         self._threads = threads
         d = max(1, x.shape[0])
         self._tile_candidates = min(d, 256)
         self._tile_reports = max(
-            1, min(_MAX_TILE_REPORTS, _TILE_CELLS // self._tile_candidates)
+            1, min(_MAX_TILE_REPORTS, _FUSED_TILE_CELLS // self._tile_candidates)
         )
 
     @property
@@ -733,45 +753,72 @@ class FusedSupportKernel:
     ) -> np.ndarray:
         """Count matches for reports ``[lo, hi)`` over all candidates.
 
-        Layout: candidates are the leading axis so the per-candidate
-        count reduction sums along contiguous memory.  Scratch comes
-        from the per-thread pool — repeated small absorbs (streaming
-        panes) reuse the same buffers call after call, and under
-        affinity scheduling each worker's buffers are already sized for
-        its sticky span.
+        Layout: candidates are the leading axis of every tile, and the
+        loop walks one candidate block across all report tiles.  Each
+        tile's matches are added into a uint8 tally plane (one byte add
+        per cell) that is reduced into the int64 counts once per
+        ``_TALLY_TILES`` tiles and at the end of the block — a tile adds
+        at most one per cell, so the tally cannot overflow.
+
+        Power-of-two ``g``: after the two Mersenne folds every cell is
+        congruent to ``a·x + b`` mod p and below 2p (for in-field
+        parameters ``a, x, b < p`` it is at most p, and equals p exactly
+        when the hash is ≡ 0 — about 2 cells in 2³¹).  So instead of a
+        per-cell compare and masked subtract, the tile's maximum is
+        checked and the exact masked fix-up runs only on a tile that
+        holds a cell ≥ p; every tile then leaves the reduction with the
+        canonical residue, and ``bitwise_and(g − 1)`` is its ``mod g``.
+
+        Scratch comes from the per-thread pool — repeated small absorbs
+        (streaming panes) reuse the same buffers call after call, and
+        under affinity scheduling each worker's buffers are already
+        sized for its sticky span.
         """
         x = self._x
         d = x.shape[0]
         tile_r = min(self._tile_reports, hi - lo)
         tile_c = min(self._tile_candidates, d)
         cells = tile_c * tile_r
-        block = _scratch_uint64("block", cells).reshape(tile_c, tile_r)
-        scratch = _scratch_uint64("quotient", cells).reshape(tile_c, tile_r)
-        match = _scratch_bool(cells).reshape(tile_c, tile_r)
+        block = _scratch("block", cells).reshape(tile_c, tile_r)
+        scratch = _scratch("quotient", cells).reshape(tile_c, tile_r)
+        match = _scratch("match", cells, bool).reshape(tile_c, tile_r)
+        tally = _scratch("tally", cells, np.uint8).reshape(tile_c, tile_r)
+        tally.fill(0)
         counts = np.zeros(d, dtype=np.int64)
         hash_s = 0.0
         acc_s = 0.0
         tiles = 0
-        for r0 in range(lo, hi, tile_r):
-            r1 = min(r0 + tile_r, hi)
-            w = r1 - r0
-            ar = a[None, r0:r1]
-            br = b[None, r0:r1]
-            yr = y[None, r0:r1]
-            for c0 in range(0, d, tile_c):
-                c1 = min(c0 + tile_c, d)
+        for c0 in range(0, d, tile_c):
+            c1 = min(c0 + tile_c, d)
+            xc = x[c0:c1, None]
+            plane = tally[: c1 - c0]
+            pending = 0
+            for r0 in range(lo, hi, tile_r):
+                r1 = min(r0 + tile_r, hi)
+                w = r1 - r0
                 h = block[: c1 - c0, :w]
                 q = scratch[: c1 - c0, :w]
                 eq = match[: c1 - c0, :w]
                 t0 = _thread_clock()
                 # h = ((a·x + b) mod p) mod g, entirely in scratch:
-                np.multiply(x[c0:c1, None], ar, out=h)
-                np.add(h, br, out=h)
-                _mersenne_reduce_into(h, q, eq)
-                _apply_mod_into(h, self._g, self._magic, self._shift, q)
+                np.multiply(xc, a[None, r0:r1], out=h)
+                np.add(h, b[None, r0:r1], out=h)
+                _mersenne_fold_into(h, q)
+                if self._pow2:
+                    if h.max() >= MERSENNE_P:
+                        _mersenne_fixup_into(h, eq)
+                    np.bitwise_and(h, self._g - np.uint64(1), out=h)
+                else:
+                    _mersenne_fixup_into(h, eq)
+                    _apply_mod_into(h, self._g, self._magic, self._shift, q)
                 t1 = _thread_clock()
-                np.equal(h, yr, out=eq)
-                counts[c0:c1] += eq.sum(axis=1)
+                np.equal(h, y[None, r0:r1], out=eq)
+                np.add(plane[:, :w], eq.view(np.uint8), out=plane[:, :w])
+                pending += 1
+                if pending == _TALLY_TILES or r1 == hi:
+                    counts[c0:c1] += plane.sum(axis=1, dtype=np.int64)
+                    plane.fill(0)
+                    pending = 0
                 t2 = _thread_clock()
                 hash_s += t1 - t0
                 acc_s += t2 - t1
@@ -928,8 +975,8 @@ def _bitsliced_segment(
     t1 = _thread_clock()
     words = planes.shape[1]
     tile_c = max(1, min(d, _TILE_CELLS // words))
-    parity = _scratch_uint64("block", tile_c * words).reshape(tile_c, words)
-    counted = _scratch_uint64("quotient", tile_c * words).reshape(
+    parity = _scratch("block", tile_c * words).reshape(tile_c, words)
+    counted = _scratch("quotient", tile_c * words).reshape(
         tile_c, words
     )
     tiles = 0

@@ -10,6 +10,7 @@ reports, no matter how delivery was duplicated or interrupted.
 """
 
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -176,6 +177,44 @@ def test_folder_splits_envelopes_into_event_panes():
     assert panes == {0: 3, 1: 1, 2: 1}
     assert ship.frontier == 25.0
     assert folder.frontier == 25.0
+
+
+class _BlockingOracle:
+    """Delegates to ``oracle``; every accumulator absorb first blocks
+    off-CPU for ``pause`` seconds, as a descheduled ingest thread would."""
+
+    def __init__(self, oracle, pause):
+        self._oracle = oracle
+        self._pause = pause
+
+    def accumulator(self):
+        acc = self._oracle.accumulator()
+        absorb = acc.absorb
+
+        def blocked_absorb(reports):
+            time.sleep(self._pause)
+            return absorb(reports)
+
+        acc.absorb = blocked_absorb
+        return acc
+
+
+def test_folder_stage_seconds_never_exceed_process_cpu():
+    # Stage times are CPU, not wall: time the fold spends off-CPU (here a
+    # sleep inside every pane absorb) must not be charged to a stage.
+    oracle = make_oracle("OLH", 16, 1.0)
+    folder = ShardFolder(
+        _BlockingOracle(oracle, 0.01), window=WindowSpec.event_tumbling(10.0)
+    )
+    gen = np.random.default_rng(3)
+    cpu0 = time.process_time()
+    for i in range(4):
+        reports = oracle.privatize(gen.integers(0, 16, size=2000), rng=i)
+        ts = gen.uniform(0.0, 40.0, size=2000)
+        folder.offer(f"e{i}", TimedReports(timestamps=ts, reports=reports))
+    cpu = time.process_time() - cpu0
+    assert folder.absorb_seconds > 0.0
+    assert folder.route_seconds + folder.absorb_seconds <= cpu
 
 
 def test_folder_rejects_raw_batches_when_windowed():

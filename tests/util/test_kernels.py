@@ -1,8 +1,13 @@
 """Unit tests for the fused decode-kernel layer (repro.util.kernels)."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.util import kernels
 from repro.util.kernels import (
     MERSENNE_P,
     FusedSupportKernel,
@@ -121,9 +126,21 @@ class TestModMagic:
         assert np.array_equal(apply_mod(x, g), x % np.uint64(g))
 
 
-def _brute_support_counts(a, b, y, premixed, g):
-    h = (a[:, None] * premixed[None, :] + b[:, None]) % MERSENNE_P
-    return ((h % np.uint64(g)) == y[:, None]).sum(axis=0).astype(np.float64)
+def _brute_support_counts(a, b, y, premixed, g, chunk=4096):
+    """Hardware-``%`` support counts, a chunk of reports at a time."""
+    counts = np.zeros(premixed.shape[0], dtype=np.float64)
+    for s in range(0, a.shape[0], chunk):
+        h = (a[s:s + chunk, None] * premixed[None, :] + b[s:s + chunk, None])
+        h %= MERSENNE_P
+        counts += ((h % np.uint64(g)) == y[s:s + chunk, None]).sum(axis=0)
+    return counts
+
+
+def _reports(rng, n, g):
+    a = rng.integers(1, P, size=n).astype(np.uint64)
+    b = rng.integers(0, P, size=n).astype(np.uint64)
+    y = rng.integers(0, g, size=n).astype(np.uint64)
+    return a, b, y
 
 
 class TestFusedSupportKernel:
@@ -189,6 +206,115 @@ class TestFusedSupportKernel:
     def test_rejects_oversized_range(self):
         with pytest.raises(ValueError):
             FusedSupportKernel(np.arange(4, dtype=np.uint64), 2**31)
+
+
+class TestFusedTileGeometry:
+    """The L2-sized tiles, the power-of-two range path and the tally."""
+
+    D = 64
+    #: Enough reports for ``threads=3`` to fan out into three spans, and
+    #: not a multiple of the 1,024-report tile (d = 64): every span ends
+    #: in a ragged tile.
+    N = 3 * 16_384 + 1_234
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("g", [2, 4, 8, 16, 3, 5, 17])
+    def test_matches_brute_force_across_tiles(self, g, threads, monkeypatch):
+        rng = np.random.default_rng(g)
+        a, b, y = _reports(rng, self.N, g)
+        premixed = rng.integers(0, P, size=self.D).astype(np.uint64)
+        # Plant one cell whose folded value is exactly p: with
+        # a = b = x = p − 1, a·x + b = (p − 1)·p ≡ 0, so the hash is 0.
+        premixed[5] = P - 1
+        a[1500] = b[1500] = P - 1
+        y[1500] = 0
+        hits = [0]
+        lock = threading.Lock()
+        fixup = kernels._mersenne_fixup_into
+
+        def counted_fixup(x, mask):
+            with lock:
+                hits[0] += 1
+            fixup(x, mask)
+
+        monkeypatch.setattr(kernels, "_mersenne_fixup_into", counted_fixup)
+        with kernel_timing_scope() as timing:
+            out = FusedSupportKernel(premixed, g, threads=threads).support_counts(
+                a, b, y
+            )
+        assert np.array_equal(out, _brute_support_counts(a, b, y, premixed, g))
+        tiles = sum(timing.worker_tiles.values())
+        assert tiles > 3 * 16
+        assert (-1 in timing.worker_tiles) == (threads == 1)
+        if g & (g - 1) == 0:
+            # Only the planted tile holds a folded p (the seeded fill has
+            # none): the fix-up ran there and was skipped everywhere else.
+            assert hits[0] == 1
+        else:
+            assert hits[0] == tiles
+
+    def test_tally_flushes_mid_block(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_TALLY_TILES", 2)
+        rng = np.random.default_rng(11)
+        a, b, y = _reports(rng, 5 * 1_024 + 77, 8)
+        premixed = rng.integers(0, P, size=self.D).astype(np.uint64)
+        out = FusedSupportKernel(premixed, 8, threads=1).support_counts(a, b, y)
+        assert np.array_equal(out, _brute_support_counts(a, b, y, premixed, 8))
+
+    @pytest.mark.parametrize("g", [4, 5])
+    def test_several_candidate_blocks(self, g):
+        rng = np.random.default_rng(13)
+        a, b, y = _reports(rng, 700, g)
+        premixed = rng.integers(0, P, size=300).astype(np.uint64)
+        out = FusedSupportKernel(premixed, g, threads=1).support_counts(a, b, y)
+        assert np.array_equal(out, _brute_support_counts(a, b, y, premixed, g))
+
+    def test_scratch_stays_l2_sized(self):
+        # A fresh thread's scratch after a large decode: three planes
+        # plus the tally, 18 bytes per cell of one 2^16-cell tile.
+        rng = np.random.default_rng(17)
+        a, b, y = _reports(rng, 40_000, 8)
+        kernel = FusedSupportKernel(
+            rng.integers(0, P, size=self.D).astype(np.uint64), 8, threads=1
+        )
+        scratch = []
+
+        def decode():
+            kernel.support_counts(a, b, y)
+            scratch.extend(vars(kernels._scratch_local).values())
+
+        worker = threading.Thread(target=decode)
+        worker.start()
+        worker.join()
+        assert sum(buf.nbytes for buf in scratch) == 18 * (1 << 16)
+
+
+def _edge_biased(rng, size, edges, low, p_edge):
+    """Uniform draws from ``[low, p)`` with a ``p_edge`` share of ``edges``."""
+    out = rng.integers(low, P, size=size).astype(np.uint64)
+    pick = rng.random(size) < p_edge
+    out[pick] = rng.choice(np.array(edges, dtype=np.uint64), size=int(pick.sum()))
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    g=st.integers(2, 64),
+    n=st.integers(1, 2_500),
+    d=st.integers(1, 80),
+    p_edge=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fused_kernel_matches_brute_force_on_edge_biased_inputs(
+    seed, g, n, d, p_edge
+):
+    rng = np.random.default_rng(seed)
+    a = _edge_biased(rng, n, [1, P - 1], 1, p_edge)
+    b = _edge_biased(rng, n, [0, P - 1], 0, p_edge)
+    premixed = _edge_biased(rng, d, [0, P - 1], 0, p_edge)
+    y = rng.integers(0, g, size=n).astype(np.uint64)
+    out = FusedSupportKernel(premixed, g, threads=1).support_counts(a, b, y)
+    assert np.array_equal(out, _brute_support_counts(a, b, y, premixed, g))
 
 
 class TestHadamardSupportCounts:
